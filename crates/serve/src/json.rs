@@ -144,6 +144,20 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so without a cap a small body of
+/// `[[[[…` could exhaust a worker thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why a document was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not JSON.
+    Syntax,
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with its byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -151,6 +165,8 @@ pub struct JsonError {
     pub pos: usize,
     /// What went wrong.
     pub message: String,
+    /// Which class of failure this is.
+    pub kind: JsonErrorKind,
 }
 
 impl fmt::Display for JsonError {
@@ -162,15 +178,18 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// content rejected).
+/// content rejected). The grammar is RFC 8259's; arrays and objects
+/// may nest at most [`MAX_DEPTH`] deep.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] on malformed input.
+/// Returns a [`JsonError`] on malformed or too deeply nested input.
 pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -182,8 +201,10 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -191,6 +212,7 @@ impl Parser<'_> {
         JsonError {
             pos: self.pos,
             message: message.to_string(),
+            kind: JsonErrorKind::Syntax,
         }
     }
 
@@ -224,8 +246,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -234,6 +256,24 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing to go past
+    /// [`MAX_DEPTH`] (the error points at the opening bracket).
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                ..self.err(&format!("nesting deeper than {MAX_DEPTH}"))
+            });
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -291,6 +331,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one go. Those delimiters are all ASCII, so the
+            // run starts and ends on char boundaries of the `&str`.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -311,13 +359,7 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = self.hex4().ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are out of scope for the
                             // serving protocol; replace them.
@@ -326,33 +368,63 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
 
+    /// The code unit spelled by exactly four hex digits at `pos`.
+    fn hex4(&self) -> Option<u32> {
+        let digits = self.bytes.get(self.pos..self.pos + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+    }
+
+    /// Advances over `[0-9]*`, returning how many digits it passed.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// RFC 8259: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(self.err("leading zero in number"));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("malformed number")),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("malformed number"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("malformed number"));
+            }
+        }
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -391,9 +463,123 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "1 2"] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            // \u takes exactly four hex digits, no sign.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g1""#,
+            r#""\u12""#,
+            // RFC 8259 numbers: no leading zeros, no bare dots, no
+            // empty fraction or exponent.
+            "01",
+            "-01",
+            "5.",
+            "-.5",
+            ".5",
+            "-",
+            "1e",
+            "1e+",
+            "1.e3",
+            "+1",
+            "[1.]",
+        ] {
+            let error = parse(bad).expect_err(bad);
+            assert_eq!(error.kind, JsonErrorKind::Syntax, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn accepts_rfc_8259_numbers() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-12.25e-1", -1.225),
+            ("1E3", 1000.0),
+            ("7e+2", 700.0),
+            ("10", 10.0),
+        ] {
+            assert_eq!(parse(text).expect(text), Json::Num(value), "{text}");
+        }
+    }
+
+    #[test]
+    fn errors_carry_exact_byte_offsets() {
+        let filler = "é中🦀x".repeat(100_000);
+        // A control byte deep inside a long string.
+        let src = format!("{{\"netlist\":\"{filler}\u{1}tail\"}}");
+        let at = src.find('\u{1}').expect("control byte");
+        let error = parse(&src).expect_err("control byte");
+        assert_eq!(
+            (error.pos, error.message.as_str()),
+            (at, "control character in string")
+        );
+        // An unterminated quote reports the end of input.
+        let src = format!("{{\"netlist\":\"{filler}");
+        let error = parse(&src).expect_err("unterminated");
+        assert_eq!(
+            (error.pos, error.message.as_str()),
+            (src.len(), "unterminated string")
+        );
+        // A bad escape points just past the escape letter.
+        let src = format!("[\"{filler}\\q\"]");
+        let error = parse(&src).expect_err("bad escape");
+        assert_eq!(
+            (error.pos, error.message.as_str()),
+            (src.len() - 2, "unknown escape")
+        );
+        // Trailing content points at its first byte.
+        let src = format!("\"{filler}\" x");
+        let error = parse(&src).expect_err("trailing");
+        assert_eq!(error.pos, src.len() - 1);
+    }
+
+    #[test]
+    fn body_sized_string_round_trips() {
+        // A string as large as a request body may be, with every escape
+        // the grammar has and one- to four-byte UTF-8. A parser that
+        // does per-character work proportional to the rest of the input
+        // takes minutes here.
+        let chunk_text = r#"ab\"\\\/\b\f\n\r\t\u0041\u00e9\u4e2dé中🦀"#;
+        let chunk_value = "ab\"\\/\u{8}\u{c}\n\r\tAé中é中🦀";
+        let reps = crate::http::MAX_BODY_BYTES / chunk_text.len();
+        let src = format!("\"{}\"", chunk_text.repeat(reps));
+        assert!(src.len() + chunk_text.len() > crate::http::MAX_BODY_BYTES);
+        let parsed = parse(&src).expect("valid");
+        let expected = chunk_value.repeat(reps);
+        assert_eq!(parsed.as_str(), Some(expected.as_str()));
+        assert_eq!(parse(&parsed.render()).expect("render is valid"), parsed);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let error = parse(&nest(MAX_DEPTH + 1)).expect_err("too deep");
+        assert_eq!((error.kind, error.pos), (JsonErrorKind::TooDeep, MAX_DEPTH));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            parse(&objects).expect_err("too deep").kind,
+            JsonErrorKind::TooDeep
+        );
+        // Deep enough to overflow a 2 MiB stack without the cap; the
+        // parse stops at the first level past it.
+        let hostile = format!("{{\"netlist\":{}", "[".repeat(1_000_000));
+        assert_eq!(
+            parse(&hostile).expect_err("too deep").kind,
+            JsonErrorKind::TooDeep
+        );
     }
 
     #[test]

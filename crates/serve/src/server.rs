@@ -85,7 +85,7 @@ use crate::batch::{
     try_submit, BatchConfig, Batcher, ModelSlot, PredictJob, PredictReply, SubmitError,
 };
 use crate::http::{read_request, write_response, write_response_with_headers, HttpError, Request};
-use crate::json::{obj, parse, Json};
+use crate::json::{obj, parse, Json, JsonErrorKind};
 use crate::metrics::{ServerMetrics, DEPRECATED_ENDPOINTS};
 use crate::registry::{valid_model_name, ModelRegistry};
 use ir_fusion::{
@@ -513,6 +513,21 @@ fn envelope(code: &str, message: &str) -> String {
     envelope_with(code, message, Vec::new())
 }
 
+/// Parses a request body as one JSON document. Rejections are 400
+/// envelopes: `invalid_body` (not utf-8), `nesting_too_deep` (past
+/// [`crate::json::MAX_DEPTH`]) or `invalid_json`.
+fn parse_body(request: &Request) -> Result<Json, (u16, String)> {
+    let text = std::str::from_utf8(&request.body)
+        .map_err(|_| (400, envelope("invalid_body", "body is not utf-8")))?;
+    parse(text).map_err(|error| {
+        let code = match error.kind {
+            JsonErrorKind::TooDeep => "nesting_too_deep",
+            JsonErrorKind::Syntax => "invalid_json",
+        };
+        (400, envelope(code, &error.to_string()))
+    })
+}
+
 /// Maps a request target onto the canonical (unversioned-internal)
 /// path plus a deprecation flag: `/v1/...` is the canonical surface;
 /// the original unversioned paths are deprecated aliases running the
@@ -895,13 +910,9 @@ fn handle_model_reload(name: &str, request: &Request, state: &Arc<State>) -> (u1
             ),
         );
     }
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
+    let body = match parse_body(request) {
         Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
+        Err(err) => return err,
     };
     let Some(path) = body.get("model_path").and_then(Json::as_str) else {
         return (
@@ -1044,13 +1055,9 @@ fn handle_predict(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u
     // Dropped before `_trace` (reverse declaration order), so the
     // request-level span is flushed into the collector it belongs to.
     let _span = irf_trace::span("predict_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
+    let body = match parse_body(request) {
         Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
+        Err(err) => return err,
     };
     let resolved = match resolve_model(&body, state) {
         Ok(resolved) => resolved,
@@ -1130,13 +1137,9 @@ fn handle_whatif(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u1
         ctx,
     };
     let _span = irf_trace::span("whatif_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
+    let body = match parse_body(request) {
         Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
+        Err(err) => return err,
     };
     let (fingerprint, grid) = match resolve_base(&body, state) {
         Ok(ok) => ok,
@@ -1403,13 +1406,9 @@ fn handle_sweep(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (u16
         ctx,
     };
     let _span = irf_trace::span("sweep_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
+    let body = match parse_body(request) {
         Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
+        Err(err) => return err,
     };
     let (fingerprint, grid) = match resolve_base(&body, state) {
         Ok(ok) => ok,
@@ -1805,13 +1804,9 @@ fn handle_optimize(request: &Request, state: &Arc<State>, ctx: &RequestCtx) -> (
         ctx,
     };
     let _span = irf_trace::span("optimize_request");
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return (400, envelope("invalid_body", "body is not utf-8")),
-    };
-    let body = match parse(text) {
+    let body = match parse_body(request) {
         Ok(body) => body,
-        Err(error) => return (400, envelope("invalid_json", &error.to_string())),
+        Err(err) => return err,
     };
     let (fingerprint, grid) = match resolve_base(&body, state) {
         Ok(ok) => ok,

@@ -4,7 +4,7 @@
 use ir_fusion::FusionConfig;
 use irf_data::Dataset;
 use irf_models::ModelKind;
-use irf_serve::json::{parse, Json};
+use irf_serve::json::{obj, parse, Json};
 use irf_serve::{BatchConfig, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -221,11 +221,8 @@ fn server_answers_predicts_and_reuses_the_cache() {
     let dir = std::env::temp_dir().join("irf_serve_e2e");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let netlist_path = dir.join("design.sp");
-    std::fs::write(
-        &netlist_path,
-        irf_spice::write(&irf_data::fake::generate(11)),
-    )
-    .expect("write netlist file");
+    let netlist_text = irf_spice::write(&irf_data::fake::generate(11));
+    std::fs::write(&netlist_path, &netlist_text).expect("write netlist file");
     let (status, body) = request(
         addr,
         "POST",
@@ -246,6 +243,18 @@ fn server_answers_predicts_and_reuses_the_cache() {
             .and_then(Json::as_str)
             .map(str::to_string),
         "streamed file and inline spec must resolve to the same design"
+    );
+
+    // The same SPICE text posted inline (a ~100 KB JSON string, the
+    // body shape real clients send) resolves to the same design.
+    let inline_body = obj(vec![("netlist", Json::Str(netlist_text))]).render();
+    let (status, body) = request(addr, "POST", "/v1/predict", &inline_body);
+    assert_eq!(status, 200, "inline netlist predict failed: {body}");
+    let json = parse(&body).expect("valid json");
+    assert_eq!(
+        by_path.as_deref(),
+        json.get("design").and_then(Json::as_str),
+        "inline and file netlists must resolve to the same design"
     );
 
     // An oversized netlist file is refused up front with the
@@ -299,6 +308,32 @@ fn server_answers_predicts_and_reuses_the_cache() {
     let (status, connection, _) = read_one_response(&mut reader);
     assert_eq!(status, 200);
     assert_eq!(connection, "close");
+
+    // A body nested 10^6 deep (~1 MB, under the body cap) would
+    // overflow a worker's stack without the parser's depth limit.
+    // Every body-taking endpoint answers the structured 400 instead,
+    // and the server keeps serving.
+    let hostile = format!(r#"{{"netlist":{}"#, "[".repeat(1_000_000));
+    for path in [
+        "/v1/predict",
+        "/v1/whatif",
+        "/v1/sweep",
+        "/v1/optimize",
+        "/v1/models/default/reload",
+    ] {
+        let (status, body) = request(addr, "POST", path, &hostile);
+        assert_eq!(status, 400, "{path}: {body}");
+        let json = parse(&body).expect("valid json");
+        assert_eq!(
+            json.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("nesting_too_deep"),
+            "{path}: {body}"
+        );
+    }
+    let (status, body) = request(addr, "GET", "/v1/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // Graceful shutdown over HTTP; wait() must join every thread.
     let (status, body) = request(addr, "POST", "/shutdown", "");

@@ -70,8 +70,9 @@ fn bench_shortest_path(grid: &PowerGrid, threads: usize, reps: usize) -> Measure
 fn bench_spice_parse(text: &str, threads: usize, reps: usize) -> Measurement {
     irf_runtime::set_num_threads(threads);
     // Small chunks so even the tiny netlist exercises the parallel
-    // lex+parse fan-out and the serial merge.
-    let parse = || irf_spice::parse_chunked(text, 256).expect("netlist parses");
+    // lex+parse fan-out and the serial merge; default batches of 32.
+    let parse =
+        || irf_spice::parse_reader_chunked(text.as_bytes(), 256, 32).expect("netlist parses");
     let mut netlist = parse(); // warm up
     let start = Instant::now();
     for _ in 0..reps {

@@ -12,11 +12,11 @@ use crate::train::TrainedModel;
 use irf_data::golden::golden_drops;
 use irf_data::Design;
 use irf_features::{FeatureError, FeatureExtractor, FeatureStack};
-use irf_metrics::Timer;
 use irf_nn::{Tape, Tensor};
 use irf_pg::{GridMap, Load, ModelError, PgStructure, PowerGrid, Rasterizer};
 use irf_sparse::{SolveReport, Solver, SolverSetup};
 use irf_spice::Netlist;
+use irf_trace::Timer;
 use std::sync::Arc;
 
 /// A design prepared up to (but excluding) the golden label: feature

@@ -2,8 +2,7 @@
 
 use crate::error::ModelError;
 use crate::stamp::PgSystem;
-use irf_spice::{Netlist, NodeId};
-use std::collections::HashMap;
+use irf_spice::{Netlist, NodeId, NodeInfo};
 
 /// A circuit node of the power grid (never ground, never removed).
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +18,20 @@ pub struct PgNode {
     pub y: i64,
     /// `true` if a voltage source pins this node (power pad).
     pub is_pad: bool,
+}
+
+impl PgNode {
+    /// An unpinned node at the layer/coordinates `info` decoded from
+    /// its name (layer 1 at the origin when the name has none).
+    pub(crate) fn from_info(info: NodeInfo) -> Self {
+        PgNode {
+            name: info.name,
+            layer: info.layer.unwrap_or(1),
+            x: info.x.unwrap_or(0),
+            y: info.y.unwrap_or(0),
+            is_pad: false,
+        }
+    }
 }
 
 /// A resistive segment (metal wire or inter-layer via).
@@ -78,10 +91,9 @@ pub struct PowerGrid {
 impl PowerGrid {
     /// Builds the model from a parsed netlist.
     ///
-    /// Resistors with one terminal on ground contribute a grounded
-    /// conductance only if the paper's formulation needs them; for a
-    /// VDD grid they do not occur, so they are rejected together with
-    /// non-positive resistances.
+    /// Resistors with a terminal on ground contribute no segment: a
+    /// VDD grid has none, and the paper's formulation does not need
+    /// grounded conductances.
     ///
     /// # Errors
     ///
@@ -90,75 +102,18 @@ impl PowerGrid {
     /// - [`ModelError::UngroundedSource`] when a voltage source's
     ///   negative terminal is not ground.
     pub fn from_netlist(netlist: &Netlist) -> Result<Self, ModelError> {
-        let mut grid = PowerGrid::default();
-        // Map netlist ids (minus ground) onto dense node indices.
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
-        let mut node_index = |grid: &mut PowerGrid, id: NodeId| -> Option<usize> {
-            if id.is_ground() {
-                return None;
-            }
-            Some(*index.entry(id).or_insert_with(|| {
-                let info = netlist.node(id);
-                grid.nodes.push(PgNode {
-                    name: info.name.clone(),
-                    layer: info.layer.unwrap_or(1),
-                    x: info.x.unwrap_or(0),
-                    y: info.y.unwrap_or(0),
-                    is_pad: false,
-                });
-                grid.nodes.len() - 1
-            }))
-        };
+        let node = |id: NodeId| PgNode::from_info(netlist.node(id).clone());
+        let mut builder = GridBuilder::with_node_ids(netlist.node_count());
         for r in netlist.resistors() {
-            if r.ohms <= 0.0 {
-                return Err(ModelError::NonPositiveResistance {
-                    name: r.name.clone(),
-                    ohms: r.ohms,
-                });
-            }
-            let a = node_index(&mut grid, r.a);
-            let b = node_index(&mut grid, r.b);
-            if let (Some(a), Some(b)) = (a, b) {
-                if a != b {
-                    grid.segments.push(Segment { a, b, ohms: r.ohms });
-                }
-            }
+            builder.resistor(&r.name, r.a, r.b, r.ohms, node)?;
         }
         for i in netlist.current_sources() {
-            // A load drawing current out of the grid: from = grid node,
-            // to = ground. The reversed orientation injects current.
-            let (node, sign) = if i.to.is_ground() {
-                (node_index(&mut grid, i.from), 1.0)
-            } else if i.from.is_ground() {
-                (node_index(&mut grid, i.to), -1.0)
-            } else {
-                (node_index(&mut grid, i.from), 1.0)
-            };
-            if let Some(node) = node {
-                grid.loads.push(Load {
-                    node,
-                    amps: sign * i.amps,
-                });
-            }
+            builder.current_source(i.from, i.to, i.amps);
         }
         for v in netlist.voltage_sources() {
-            if !v.minus.is_ground() {
-                return Err(ModelError::UngroundedSource {
-                    name: v.name.clone(),
-                });
-            }
-            if let Some(node) = node_index(&mut grid, v.plus) {
-                grid.nodes[node].is_pad = true;
-                grid.pads.push(Pad {
-                    node,
-                    volts: v.volts,
-                });
-            }
+            builder.voltage_source(&v.name, v.plus, v.minus, v.volts);
         }
-        if grid.pads.is_empty() {
-            return Err(ModelError::NoPads);
-        }
-        Ok(grid)
+        builder.finish(node)
     }
 
     /// Supply voltage: the maximum pad voltage.
@@ -350,6 +305,142 @@ impl PowerGrid {
             }
         }
         seen.iter().all(|&s| s)
+    }
+}
+
+/// Sentinel in [`GridBuilder::index`] for a node id not yet placed.
+const UNPLACED: usize = usize::MAX;
+
+/// The one netlist-to-grid builder, keyed by dense node ids
+/// ([`NodeId::GROUND`] is ground) from whatever interned the names.
+///
+/// R cards place their nodes in the order they first appear. I and V
+/// cards are kept back as ids and placed at [`GridBuilder::finish`],
+/// loads before pads, so grid numbering is element-type-major —
+/// resistors, then current sources, then voltage sources — whatever
+/// order the cards arrive in. Callers supply each node's [`PgNode`]
+/// through a closure called once, on first placement.
+#[derive(Debug, Default)]
+pub(crate) struct GridBuilder {
+    grid: PowerGrid,
+    /// Grid index per node id, [`UNPLACED`] until placed.
+    index: Vec<usize>,
+    /// Kept-back I cards: `(grid-side node, signed amps)`.
+    loads: Vec<(NodeId, f64)>,
+    /// Kept-back V cards: `(plus node, volts)`.
+    pads: Vec<(NodeId, f64)>,
+    /// Name of the first V card whose minus terminal is not ground.
+    ungrounded: Option<String>,
+}
+
+impl GridBuilder {
+    /// A builder sized for ids below `ids` (it grows past that).
+    pub(crate) fn with_node_ids(ids: usize) -> Self {
+        GridBuilder {
+            index: vec![UNPLACED; ids],
+            ..GridBuilder::default()
+        }
+    }
+
+    /// Grid index of `id`, placing it with `node(id)` on first sight;
+    /// `None` for ground.
+    fn place(&mut self, id: NodeId, node: &mut impl FnMut(NodeId) -> PgNode) -> Option<usize> {
+        if id.is_ground() {
+            return None;
+        }
+        let i = id.index();
+        if i >= self.index.len() {
+            self.index.resize(i + 1, UNPLACED);
+        }
+        if self.index[i] == UNPLACED {
+            self.index[i] = self.grid.nodes.len();
+            self.grid.nodes.push(node(id));
+        }
+        Some(self.index[i])
+    }
+
+    /// An R card. Segments to ground and self-loops are dropped.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NonPositiveResistance`] for `ohms <= 0`.
+    pub(crate) fn resistor(
+        &mut self,
+        name: &str,
+        a: NodeId,
+        b: NodeId,
+        ohms: f64,
+        mut node: impl FnMut(NodeId) -> PgNode,
+    ) -> Result<(), ModelError> {
+        if ohms <= 0.0 {
+            return Err(ModelError::NonPositiveResistance {
+                name: name.to_string(),
+                ohms,
+            });
+        }
+        let a = self.place(a, &mut node);
+        let b = self.place(b, &mut node);
+        if let (Some(a), Some(b)) = (a, b) {
+            if a != b {
+                self.grid.segments.push(Segment { a, b, ohms });
+            }
+        }
+        Ok(())
+    }
+
+    /// An I card. A load draws current out of the grid: `from` = grid
+    /// node, `to` = ground. The reversed orientation injects current;
+    /// with both terminals on the grid only `from` carries the load.
+    pub(crate) fn current_source(&mut self, from: NodeId, to: NodeId, amps: f64) {
+        let (node, sign) = if to.is_ground() {
+            (from, 1.0)
+        } else if from.is_ground() {
+            (to, -1.0)
+        } else {
+            (from, 1.0)
+        };
+        if !node.is_ground() {
+            self.loads.push((node, sign * amps));
+        }
+    }
+
+    /// A V card: a pad on `plus`, which must be referenced to ground.
+    pub(crate) fn voltage_source(&mut self, name: &str, plus: NodeId, minus: NodeId, volts: f64) {
+        if !minus.is_ground() {
+            self.ungrounded.get_or_insert_with(|| name.to_string());
+        } else if !plus.is_ground() {
+            self.pads.push((plus, volts));
+        }
+    }
+
+    /// Places the kept-back loads and pads and returns the grid.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::UngroundedSource`] for the first V card not
+    /// referenced to ground, then [`ModelError::NoPads`].
+    pub(crate) fn finish(
+        mut self,
+        mut node: impl FnMut(NodeId) -> PgNode,
+    ) -> Result<PowerGrid, ModelError> {
+        for (id, amps) in std::mem::take(&mut self.loads) {
+            if let Some(node) = self.place(id, &mut node) {
+                self.grid.loads.push(Load { node, amps });
+            }
+        }
+        if let Some(name) = self.ungrounded {
+            return Err(ModelError::UngroundedSource { name });
+        }
+        for (id, volts) in std::mem::take(&mut self.pads) {
+            if let Some(node) = self.place(id, &mut node) {
+                self.grid.nodes[node].is_pad = true;
+                self.grid.pads.push(Pad { node, volts });
+            }
+        }
+        if self.grid.pads.is_empty() {
+            return Err(ModelError::NoPads);
+        }
+        Ok(self.grid)
     }
 }
 

@@ -1,35 +1,13 @@
 //! Streaming grid ingest: SPICE bytes → [`PowerGrid`] with no
 //! [`Netlist`](irf_spice::Netlist) and no source text in memory.
 //!
-//! The materializing path (`read_to_string` → [`irf_spice::parse`] →
-//! [`PowerGrid::from_netlist`]) holds three full-size artifacts at
-//! once: the source text, the netlist (which stores an owned name
-//! `String` for *every element card*), and the grid. At million-node
-//! scale the first two exist only to be thrown away. This module
-//! subscribes to the card-visitor stream ([`irf_spice::visit_cards`])
-//! instead and builds the grid directly:
+//! [`grid_from_spice_reader`] subscribes to the card-visitor stream
+//! ([`irf_spice::visit_cards`]), interns node names to dense ids as
+//! cards arrive, and feeds the cards to the same builder
+//! [`PowerGrid::from_netlist`] uses, so both entry points number,
+//! sign and validate the grid the same way. Golden tests pin both.
 //!
-//! * **R cards** are absorbed immediately: node names intern into the
-//!   grid's node table as they first appear, segments are pushed in
-//!   card order, and non-positive resistances error on the spot.
-//! * **I and V cards** are buffered compactly (a resolved node index
-//!   when the name is already interned, the bare name otherwise —
-//!   never the element name) and replayed after the stream ends.
-//!
-//! # Parity with the materializing path
-//!
-//! [`PowerGrid::from_netlist`] assigns grid node indices in
-//! *element-type-major* order: first appearance while walking all
-//! resistors, then all current sources, then all voltage sources.
-//! The accumulator reproduces that exactly — R cards intern during
-//! streaming (stream order = netlist resistor order), and the
-//! deferred I/V replay interns any still-unseen names in buffered
-//! card order, which is precisely when the type-major walk would have
-//! met them. Sign conventions, pad marking, `layer`/`x`/`y` defaults
-//! and error checks replicate `from_netlist` line for line, and a
-//! test asserts the two paths produce equal grids on the same bytes.
-//!
-//! Two documented differences on *invalid* input only:
+//! Two differences on *invalid* input only:
 //!
 //! * duplicate element names are not detected (that check needs
 //!   whole-file state the visitor stream deliberately does not keep —
@@ -37,13 +15,13 @@
 //!   matters);
 //! * errors surface in stream order, so a model error (say `R <= 0`
 //!   on line 3) can win over a parse error later in the file, where
-//!   the two-phase batch path would report the parse error first.
+//!   the two-phase netlist path would report the parse error first.
 //!   Valid designs are unaffected.
 
 use crate::error::ModelError;
-use crate::grid::{Load, Pad, PgNode, PowerGrid, Segment};
+use crate::grid::{GridBuilder, PgNode, PowerGrid};
 use irf_spice::error::{ParseError, ParseErrorKind};
-use irf_spice::{NodeInfo, StreamError, StreamedCard, StreamedCardKind};
+use irf_spice::{NodeId, NodeInfo, StreamError, StreamedCard, StreamedCardKind};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
@@ -100,147 +78,74 @@ impl From<ModelError> for IngestError {
     }
 }
 
-/// A buffered reference to a grid node: resolved to its final index
-/// when the name was already interned at buffering time, otherwise
-/// the bare name, interned at replay. Indices never change once
-/// assigned, so early resolution is always safe.
-#[derive(Debug)]
-enum NodeRef {
-    Resolved(usize),
-    Named(String),
-}
-
-/// Streaming accumulator; see the [module docs](self) for the parity
-/// argument.
+/// Dense node ids for the names of one stream; `"0"` is ground.
 #[derive(Debug, Default)]
-struct Accumulator {
-    grid: PowerGrid,
-    index: HashMap<String, usize>,
-    /// Buffered I cards: `(chosen node, signed amps)`.
-    loads: Vec<(NodeRef, f64)>,
-    /// Buffered V cards: `(element name, minus-is-ground, plus,
-    /// volts)`.
-    pads: Vec<(String, bool, NodeRef, f64)>,
+struct Interner {
+    ids: HashMap<String, NodeId>,
+    /// Nodes first seen on an I or V card, held until the builder
+    /// places them in `finish`. R-card nodes are placed at once from
+    /// the card text, so each name is copied only into `ids` and its
+    /// [`PgNode`].
+    kept: HashMap<NodeId, NodeInfo>,
 }
 
-impl Accumulator {
-    /// Interns `name` into the grid's node table (first-appearance
-    /// order), or returns `None` for ground.
-    fn node_index(&mut self, name: &str) -> Option<usize> {
+impl Interner {
+    /// The id of `name`, and whether this is its first appearance.
+    fn id(&mut self, name: &str) -> (NodeId, bool) {
         if name == "0" {
-            return None;
+            return (NodeId::GROUND, false);
         }
-        if let Some(&idx) = self.index.get(name) {
-            return Some(idx);
+        if let Some(&id) = self.ids.get(name) {
+            return (id, false);
         }
-        let info = NodeInfo::from_name(name);
-        self.grid.nodes.push(PgNode {
-            name: info.name,
-            layer: info.layer.unwrap_or(1),
-            x: info.x.unwrap_or(0),
-            y: info.y.unwrap_or(0),
-            is_pad: false,
-        });
-        let idx = self.grid.nodes.len() - 1;
-        self.index.insert(name.to_string(), idx);
-        Some(idx)
+        let id = NodeId(u32::try_from(self.ids.len() + 1).expect("node count fits u32"));
+        self.ids.insert(name.to_string(), id);
+        (id, true)
     }
 
-    /// A deferred reference: resolved now when possible, by name
-    /// otherwise.
-    fn node_ref(&self, name: &str) -> NodeRef {
-        match self.index.get(name) {
-            Some(&idx) => NodeRef::Resolved(idx),
-            None => NodeRef::Named(name.to_string()),
+    /// [`Interner::id`] for an I or V card terminal, keeping the
+    /// node's info until it is placed.
+    fn kept_id(&mut self, name: &str) -> NodeId {
+        let (id, new) = self.id(name);
+        if new {
+            self.kept.insert(id, NodeInfo::from_name(name));
         }
+        id
     }
 
-    fn resolve(&mut self, r: NodeRef) -> Option<usize> {
-        match r {
-            NodeRef::Resolved(idx) => Some(idx),
-            NodeRef::Named(name) => self.node_index(&name),
-        }
-    }
-
-    fn absorb(&mut self, card: &StreamedCard<'_>) -> Result<(), ModelError> {
+    /// Feeds one card to `builder`.
+    fn feed(
+        &mut self,
+        builder: &mut GridBuilder,
+        card: &StreamedCard<'_>,
+    ) -> Result<(), ModelError> {
         match card.kind {
             StreamedCardKind::Resistor => {
-                if card.value <= 0.0 {
-                    return Err(ModelError::NonPositiveResistance {
-                        name: card.name.to_string(),
-                        ohms: card.value,
-                    });
-                }
-                let a = self.node_index(card.a);
-                let b = self.node_index(card.b);
-                if let (Some(a), Some(b)) = (a, b) {
-                    if a != b {
-                        self.grid.segments.push(Segment {
-                            a,
-                            b,
-                            ohms: card.value,
-                        });
-                    }
-                }
+                let (a, _) = self.id(card.a);
+                let (b, _) = self.id(card.b);
+                let name_of = |id| if id == a { card.a } else { card.b };
+                builder.resistor(card.name, a, b, card.value, |id| {
+                    PgNode::from_info(NodeInfo::from_name(name_of(id)))
+                })?;
             }
             StreamedCardKind::CurrentSource => {
-                // Same orientation rule as `PowerGrid::from_netlist`:
-                // a load draws current from the grid node toward
-                // ground; the reversed orientation injects.
-                let (node, sign) = if card.b == "0" {
-                    (card.a, 1.0)
-                } else if card.a == "0" {
-                    (card.b, -1.0)
-                } else {
-                    (card.a, 1.0)
-                };
-                if node != "0" {
-                    let r = self.node_ref(node);
-                    self.loads.push((r, sign * card.value));
-                }
+                let (from, to) = (self.kept_id(card.a), self.kept_id(card.b));
+                builder.current_source(from, to, card.value);
             }
             StreamedCardKind::VoltageSource => {
-                self.pads.push((
-                    card.name.to_string(),
-                    card.b == "0",
-                    self.node_ref(card.a),
-                    card.value,
-                ));
+                let (plus, minus) = (self.kept_id(card.a), self.kept_id(card.b));
+                builder.voltage_source(card.name, plus, minus, card.value);
             }
         }
         Ok(())
     }
-
-    fn finish(mut self) -> Result<PowerGrid, ModelError> {
-        let loads = std::mem::take(&mut self.loads);
-        for (r, amps) in loads {
-            if let Some(node) = self.resolve(r) {
-                self.grid.loads.push(Load { node, amps });
-            }
-        }
-        let pads = std::mem::take(&mut self.pads);
-        for (name, minus_is_ground, plus, volts) in pads {
-            if !minus_is_ground {
-                return Err(ModelError::UngroundedSource { name });
-            }
-            if let Some(node) = self.resolve(plus) {
-                self.grid.nodes[node].is_pad = true;
-                self.grid.pads.push(Pad { node, volts });
-            }
-        }
-        if self.grid.pads.is_empty() {
-            return Err(ModelError::NoPads);
-        }
-        Ok(self.grid)
-    }
 }
 
 /// Streams SPICE text from `reader` directly into a [`PowerGrid`],
-/// never materializing the source or a netlist. Produces a grid
-/// **equal** to
+/// never materializing the source or a netlist. The grid equals
 /// `PowerGrid::from_netlist(&irf_spice::parse(&text)?)` on the same
-/// bytes (asserted by tests); see the [module docs](self) for the two
-/// invalid-input caveats.
+/// bytes; see the [module docs](self) for the two invalid-input
+/// caveats.
 ///
 /// # Errors
 ///
@@ -248,26 +153,29 @@ impl Accumulator {
 /// [`IngestError::Model`] for electrically invalid designs.
 pub fn grid_from_spice_reader<R: BufRead>(reader: R) -> Result<PowerGrid, IngestError> {
     let mut span = irf_trace::span("grid_stream_ingest");
-    let mut acc = Accumulator::default();
+    let mut builder = GridBuilder::default();
+    let mut names = Interner::default();
     let mut model_err: Option<ModelError> = None;
-    let result = irf_spice::visit_cards(reader, |card| match acc.absorb(card) {
-        Ok(()) => Ok(()),
-        Err(e) => {
+    let result = irf_spice::visit_cards(reader, |card| {
+        names.feed(&mut builder, card).map_err(|e| {
             // The visitor contract only carries `ParseError`; park the
             // model error and abort with a sentinel that is replaced
             // below.
             model_err = Some(e);
-            Err(ParseError {
+            ParseError {
                 line: card.line,
                 kind: ParseErrorKind::InvalidValue(String::new()),
-            })
-        }
+            }
+        })
     });
     if let Some(e) = model_err {
         return Err(IngestError::Model(e));
     }
     result?;
-    let grid = acc.finish()?;
+    // Every node still unplaced was first seen on an I or V card, so
+    // `kept_id` holds its info.
+    let grid = builder
+        .finish(|id| PgNode::from_info(names.kept.remove(&id).expect("unplaced nodes are kept")))?;
     if span.is_recording() {
         span.attr("nodes", grid.nodes.len());
         span.attr("segments", grid.segments.len());

@@ -10,8 +10,8 @@
 
 use crate::metrics::ServerMetrics;
 use ir_fusion::{IrFusionPipeline, PreparedStack, TrainedModel};
-use irf_metrics::Timer;
 use irf_pg::GridMap;
+use irf_trace::Timer;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;

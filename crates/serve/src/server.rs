@@ -92,11 +92,11 @@ use ir_fusion::{
     design_fingerprint, EditError, FusionConfig, IrFusionPipeline, PrecisionMode, StageStore,
     TopologyDelta, TrainedModel,
 };
-use irf_metrics::Timer;
 use irf_obs::recorder::SpanNode;
 use irf_obs::{FlightRecorder, RequestId, RequestIdMinter, RequestRecord, SloPolicy};
 use irf_pg::{GridMap, PowerGrid};
 use irf_trace::request::RequestStats;
+use irf_trace::Timer;
 use std::cell::{Cell, RefCell};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -52,7 +52,6 @@ pub mod cholesky;
 pub mod csr;
 pub mod error;
 pub mod ic0;
-pub mod matrix_market;
 pub mod pcg;
 pub mod random_walk;
 mod sell;

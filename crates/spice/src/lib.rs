@@ -7,7 +7,11 @@
 //!
 //! - [`parser::parse`]: a line-oriented SPICE parser covering the
 //!   subset used by PG analysis (`R`, `I`, `V` elements, `*` comments,
-//!   `+` continuations, SI value suffixes, `.end`).
+//!   `+` continuations, SI value suffixes, `.end`). It is the one
+//!   streaming pipeline of [`stream`] run over an in-memory string:
+//!   [`parse_reader`] / [`parse_path`] read any [`std::io::BufRead`]
+//!   or file in bounded memory, and [`visit_cards`] hands each card
+//!   to a callback instead of building a netlist.
 //! - [`netlist::Netlist`]: the parsed design with hash-interned node
 //!   names and structured node coordinates following the ICCAD-2023
 //!   contest convention `n<net>_m<layer>_<x>_<y>`.
@@ -45,10 +49,11 @@ pub mod writer;
 
 pub use error::ParseError;
 pub use hash::{source_hash, Fnv1a};
+pub use lexer::ChunkReader;
 pub use netlist::{CurrentSource, Netlist, NodeId, NodeInfo, Resistor, VoltageSource};
-pub use parser::{parse, parse_chunked};
+pub use parser::parse;
 pub use stream::{
-    parse_path, parse_reader, parse_reader_chunked, visit_cards, ChunkReader, StreamError,
-    StreamedCard, StreamedCardKind,
+    parse_path, parse_reader, parse_reader_chunked, visit_cards, StreamError, StreamedCard,
+    StreamedCardKind,
 };
 pub use writer::write;

@@ -1,18 +1,20 @@
 //! The SPICE card parser for the PG subset (`R`, `I`, `V`).
 //!
-//! Parsing is streaming and parallel: [`chunk_source`] splits the
-//! source at card boundaries, each chunk is lexed + parsed on the
-//! deterministic pool into raw cards with zero-copy `&str` fields,
-//! and a serial merge pass interns node names in source order and
-//! checks duplicate element names. Because the chunk boundaries
-//! depend only on the text (never on the thread count) and the merge
-//! walks chunks in order, the resulting [`Netlist`] — node-id
-//! assignment included — is identical to a fully serial parse, and
-//! error line numbers are preserved.
+//! Parsing is streaming and parallel: [`ChunkReader`](crate::ChunkReader)
+//! cuts the source at card boundaries, each chunk is lexed + parsed on
+//! the deterministic pool into raw cards with zero-copy `&str` fields
+//! (`parse_chunk`), and a serial `Merger` interns node names in
+//! source order and checks duplicate element names. Because the chunk
+//! boundaries depend only on the text (never on the thread count) and
+//! the merge walks chunks in order, the resulting [`Netlist`] —
+//! node-id assignment included — is identical to a fully serial
+//! parse, and error line numbers are preserved. [`parse`] is that
+//! pipeline over an in-memory string; [`crate::stream`] drives it.
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::{chunk_source, logical_line_refs, SourceChunk};
+use crate::lexer::logical_line_refs;
 use crate::netlist::{CurrentSource, Netlist, Resistor, VoltageSource};
+use crate::stream::{parse_reader, StreamError};
 use crate::value::parse_spice_number;
 use std::collections::HashSet;
 
@@ -52,9 +54,11 @@ pub(crate) struct ChunkParse<'a> {
     pub(crate) error: Option<ParseError>,
 }
 
-pub(crate) fn parse_chunk<'a>(chunk: &SourceChunk<'a>) -> ChunkParse<'a> {
+/// Lexes and parses one chunk whose first physical line is
+/// `first_line`.
+pub(crate) fn parse_chunk(text: &str, first_line: usize) -> ChunkParse<'_> {
     let mut cards = Vec::new();
-    for line in logical_line_refs(chunk.text, chunk.first_line) {
+    for line in logical_line_refs(text, first_line) {
         let fields = &line.fields;
         let head = fields[0];
         if head == "+" {
@@ -117,10 +121,8 @@ pub(crate) fn parse_chunk<'a>(chunk: &SourceChunk<'a>) -> ChunkParse<'a> {
 /// order, interning node names (identical id assignment to a serial
 /// parse) and enforcing unique element names across chunk boundaries.
 ///
-/// The batch [`parse`] path folds every chunk through one `Merger`;
-/// the streaming reader in [`crate::stream`] does exactly the same
-/// over chunks it only holds transiently, which is why both produce
-/// bitwise-identical netlists from the same bytes.
+/// The streaming reader in [`crate::stream`] folds every chunk
+/// through one `Merger` while holding each chunk only transiently.
 pub(crate) struct Merger {
     netlist: Netlist,
     seen_names: HashSet<String>,
@@ -187,15 +189,6 @@ impl Merger {
     }
 }
 
-/// Serial merge of a fully materialized chunk list; see [`Merger`].
-fn merge(chunks: Vec<ChunkParse<'_>>) -> Result<Netlist, ParseError> {
-    let mut merger = Merger::new();
-    for chunk in chunks {
-        merger.absorb(chunk)?;
-    }
-    Ok(merger.finish())
-}
-
 /// Parses SPICE source into a [`Netlist`].
 ///
 /// Supported cards:
@@ -206,9 +199,10 @@ fn merge(chunks: Vec<ChunkParse<'_>>) -> Result<Netlist, ParseError> {
 /// - `.end` / `.op` and other dot-cards are accepted and ignored;
 /// - `*` comments, `$`/`;` inline comments, and `+` continuations.
 ///
-/// Large sources are parsed in parallel (see the module docs); the
-/// result and any error — line number included — are identical to a
-/// serial parse at any thread count.
+/// This is [`parse_reader`] over the string's
+/// bytes. Large sources are parsed in parallel (see the module docs);
+/// the result and any error — line number included — are identical
+/// to a serial parse at any thread count.
 ///
 /// # Errors
 ///
@@ -225,31 +219,14 @@ fn merge(chunks: Vec<ChunkParse<'_>>) -> Result<Netlist, ParseError> {
 /// # Ok::<(), irf_spice::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Netlist, ParseError> {
-    parse_chunked(src, CARDS_PER_CHUNK)
-}
-
-/// [`parse`] with an explicit chunk size — exposed so tests can force
-/// multi-chunk parses on small sources; results are identical for
-/// every `cards_per_chunk >= 1`.
-///
-/// # Errors
-///
-/// See [`parse`].
-pub fn parse_chunked(src: &str, cards_per_chunk: usize) -> Result<Netlist, ParseError> {
-    let mut span = irf_trace::span("spice_parse");
-    let chunks = chunk_source(src, cards_per_chunk);
-    let n_chunks = chunks.len();
-    let tasks: Vec<_> = chunks.iter().map(|c| move || parse_chunk(c)).collect();
-    let parsed = irf_runtime::par_map(tasks);
-    let netlist = merge(parsed)?;
-    irf_trace::registry().counter_add("irf_spice_chunks_total", &[], n_chunks as f64);
-    if span.is_recording() {
-        span.attr("chunks", n_chunks);
-        span.attr("resistors", netlist.resistors().len());
-        span.attr("current_sources", netlist.current_sources().len());
-        span.attr("voltage_sources", netlist.voltage_sources().len());
+    match parse_reader(src.as_bytes()) {
+        Ok(netlist) => Ok(netlist),
+        Err(StreamError::Parse(e)) => Err(e),
+        // A `&str` is valid UTF-8 and cut only at `\n` bytes, so every
+        // line `read_line` sees is valid UTF-8, and reading a byte
+        // slice performs no I/O.
+        Err(StreamError::Io(e)) => unreachable!("reading a &str failed: {e}"),
     }
-    Ok(netlist)
 }
 
 #[cfg(test)]
@@ -342,6 +319,16 @@ V1 n1_m4_0_0 0 1.1
         assert_eq!(n.node_count(), 1); // only ground
     }
 
+    /// [`parse`] with an explicit chunk size and two chunks per batch,
+    /// so small sources cross both chunk and batch boundaries.
+    fn parse_sized(src: &str, cards_per_chunk: usize) -> Result<Netlist, ParseError> {
+        match crate::parse_reader_chunked(src.as_bytes(), cards_per_chunk, 2) {
+            Ok(netlist) => Ok(netlist),
+            Err(StreamError::Parse(e)) => Err(e),
+            Err(StreamError::Io(e)) => panic!("unexpected io error: {e}"),
+        }
+    }
+
     /// Synthesizes a many-card source with a known structure.
     fn big_source(cards: usize) -> String {
         let mut src = String::from("* generated\nV1 n0 0 1.0\n");
@@ -355,9 +342,9 @@ V1 n1_m4_0_0 0 1.1
     #[test]
     fn chunked_parse_matches_single_chunk_parse() {
         let src = big_source(100);
-        let whole = parse_chunked(&src, usize::MAX).expect("parses");
+        let whole = parse(&src).expect("parses");
         for cards in [1, 7, 32] {
-            let chunked = parse_chunked(&src, cards).expect("parses");
+            let chunked = parse_sized(&src, cards).expect("parses");
             assert_eq!(whole, chunked, "cards_per_chunk={cards}");
         }
     }
@@ -370,9 +357,10 @@ V1 n1_m4_0_0 0 1.1
         src.push_str("R_bad x y zz\n");
         let expected_line = src.lines().count(); // the bad card is the last line
         for cards in [3, 16, usize::MAX] {
-            let err = parse_chunked(&src, cards).unwrap_err();
+            let err = parse_sized(&src, cards).unwrap_err();
             assert_eq!(err.line, expected_line, "cards_per_chunk={cards}");
             assert!(matches!(err.kind, ParseErrorKind::InvalidValue(_)));
+            assert_eq!(parse(&src).unwrap_err(), err);
         }
     }
 
@@ -382,9 +370,10 @@ V1 n1_m4_0_0 0 1.1
         src.push_str("R7 dup dup2 1.0\n"); // duplicates a card from an earlier chunk
         let expected_line = src.lines().count();
         for cards in [4, 16] {
-            let err = parse_chunked(&src, cards).unwrap_err();
+            let err = parse_sized(&src, cards).unwrap_err();
             assert_eq!(err.line, expected_line, "cards_per_chunk={cards}");
             assert!(matches!(err.kind, ParseErrorKind::DuplicateElement(_)));
+            assert_eq!(parse(&src).unwrap_err(), err);
         }
     }
 
@@ -393,8 +382,9 @@ V1 n1_m4_0_0 0 1.1
         // A missing-fields error in an early chunk must win over a
         // bad value in a later one, as in a serial scan.
         let src = "R1 a b 1\nR2 c\nR3 d e zz\nR4 f g 2\n";
-        let err = parse_chunked(src, 1).unwrap_err();
+        let err = parse_sized(src, 1).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(matches!(err.kind, ParseErrorKind::MissingFields { .. }));
+        assert_eq!(parse(src).unwrap_err(), err);
     }
 }

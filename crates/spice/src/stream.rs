@@ -1,40 +1,28 @@
 //! Streaming SPICE ingest: parse from any [`BufRead`] source without
-//! materializing the file.
+//! materializing the file. This is the only parse pipeline;
+//! [`crate::parse`] runs it over an in-memory string.
 //!
-//! The batch parser ([`crate::parse`]) holds the whole source text in
-//! memory, chunks it at card boundaries, parses chunks in parallel
-//! and merges serially. At million-node scale the source alone is
-//! hundreds of megabytes, and callers that `read_to_string` before
-//! parsing pay that plus the netlist. This module feeds the **same**
-//! chunked machinery from a reader instead:
-//!
-//! 1. [`ChunkReader`] re-implements the card-boundary chunking rule of
-//!    [`crate::lexer::chunk_source`] incrementally over
-//!    [`BufRead::read_line`] — identical boundaries, identical
-//!    `first_line` numbering, but each chunk is an owned `String`
-//!    that lives only until it is parsed.
+//! 1. [`ChunkReader`] cuts the input at card boundaries into owned
+//!    chunks that live only until they are parsed.
 //! 2. [`parse_reader`] pulls batches of a few dozen chunks, parses
-//!    each batch in parallel with the exact per-chunk parser the batch
-//!    path uses, folds the results into the same serial merger, and
-//!    drops the batch. Peak memory is one batch of source text plus
-//!    the growing [`Netlist`] — never the whole file.
+//!    each batch in parallel, folds the results into the serial
+//!    merger, and drops the batch. Peak memory is one batch of source
+//!    text plus the growing [`Netlist`] — never the whole file.
 //! 3. [`visit_cards`] is the card-visitor mode: instead of building a
 //!    [`Netlist`], each parsed card is handed to a callback as it
-//!    arrives, so `irf-pg` can stamp MNA entries directly and skip
-//!    the netlist entirely.
+//!    arrives, so `irf-pg` can build a grid with no netlist at all.
 //!
 //! # Determinism
 //!
 //! Chunk boundaries depend only on the bytes and the chunk size —
 //! never on the thread count or the reader's buffer size — and the
-//! merge is serial in source order. [`parse_reader`] therefore
-//! produces a [`Netlist`] **bitwise identical** (node-id assignment,
-//! [`Netlist::content_hash`] and all) to [`crate::parse`] on the same
-//! bytes, and reports the same first error with the same line number.
-//! Tests assert this parity.
+//! merge is serial in source order. The [`Netlist`] (node-id
+//! assignment, [`Netlist::content_hash`] and all) and the first error
+//! with its line number are therefore the same for every chunk size,
+//! batch size and thread count.
 
 use crate::error::ParseError;
-use crate::lexer::{is_card_start, SourceChunk};
+use crate::lexer::ChunkReader;
 use crate::netlist::Netlist;
 use crate::parser::{parse_chunk, CardKind, ChunkParse, Merger, CARDS_PER_CHUNK};
 use std::fs::File;
@@ -48,9 +36,8 @@ use std::path::Path;
 /// chunks to spread across workers.
 const CHUNKS_PER_BATCH: usize = 32;
 
-/// Read-buffer capacity for [`parse_path`] / [`grid-from-path`]-style
-/// callers: large enough that syscall overhead vanishes on
-/// multi-hundred-MB netlists.
+/// Read-buffer capacity for [`parse_path`]: large enough that syscall
+/// overhead vanishes on multi-hundred-MB netlists.
 const FILE_BUF_BYTES: usize = 1 << 20;
 
 /// Error from a streaming parse: either the underlying reader failed
@@ -59,8 +46,7 @@ const FILE_BUF_BYTES: usize = 1 << 20;
 pub enum StreamError {
     /// The reader returned an I/O error.
     Io(io::Error),
-    /// The SPICE text failed to parse (same errors, same line
-    /// numbers, as the batch parser).
+    /// The SPICE text failed to parse.
     Parse(ParseError),
 }
 
@@ -94,95 +80,9 @@ impl From<ParseError> for StreamError {
     }
 }
 
-/// Incremental card-boundary chunker over a [`BufRead`] source.
-///
-/// Yields owned `(text, first_line)` chunks with exactly the
-/// boundaries [`crate::lexer::chunk_source`] would produce on the
-/// concatenated bytes: cuts only at card-start lines, comments and
-/// `+` continuations travel with their card, the trailing chunk is
-/// emitted even when it holds no card, and an empty source yields no
-/// chunks.
-#[derive(Debug)]
-pub struct ChunkReader<R> {
-    reader: R,
-    cards_per_chunk: usize,
-    /// Text of the chunk currently accumulating.
-    chunk: String,
-    /// 1-based first physical line of the accumulating chunk.
-    chunk_first_line: usize,
-    cards_in_chunk: usize,
-    /// Physical lines read so far.
-    line_no: usize,
-    /// Scratch for `read_line`.
-    line: String,
-    done: bool,
-}
-
-impl<R: BufRead> ChunkReader<R> {
-    /// Wraps `reader` with the default chunk size the batch parser
-    /// uses.
-    pub fn new(reader: R) -> Self {
-        Self::with_chunk_size(reader, CARDS_PER_CHUNK)
-    }
-
-    /// Wraps `reader` cutting chunks of roughly `cards_per_chunk`
-    /// cards (minimum 1).
-    pub fn with_chunk_size(reader: R, cards_per_chunk: usize) -> Self {
-        ChunkReader {
-            reader,
-            cards_per_chunk: cards_per_chunk.max(1),
-            chunk: String::new(),
-            chunk_first_line: 1,
-            cards_in_chunk: 0,
-            line_no: 0,
-            line: String::new(),
-            done: false,
-        }
-    }
-
-    /// Pulls the next chunk, or `Ok(None)` at end of input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors. Note `read_line` also rejects
-    /// non-UTF-8 input with an `InvalidData` error, matching the
-    /// `&str` requirement of the batch path.
-    pub fn next_chunk(&mut self) -> io::Result<Option<(String, usize)>> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
-                self.done = true;
-                if self.chunk.is_empty() {
-                    return Ok(None);
-                }
-                return Ok(Some((
-                    std::mem::take(&mut self.chunk),
-                    self.chunk_first_line,
-                )));
-            }
-            self.line_no += 1;
-            if is_card_start(&self.line) {
-                if self.cards_in_chunk >= self.cards_per_chunk {
-                    let out = (std::mem::take(&mut self.chunk), self.chunk_first_line);
-                    self.chunk_first_line = self.line_no;
-                    self.cards_in_chunk = 1;
-                    self.chunk.push_str(&self.line);
-                    return Ok(Some(out));
-                }
-                self.cards_in_chunk += 1;
-            }
-            self.chunk.push_str(&self.line);
-        }
-    }
-}
-
 /// Drives the streaming pipeline: batches of owned chunks are parsed
-/// in parallel with the batch path's per-chunk parser, then handed to
-/// `sink` serially in source order. Returns the chunk count.
+/// in parallel, then handed to `sink` serially in source order.
+/// Returns the chunk count.
 fn drive<R: BufRead>(
     reader: R,
     cards_per_chunk: usize,
@@ -204,14 +104,10 @@ fn drive<R: BufRead>(
             return Ok(total_chunks);
         }
         total_chunks += batch.len();
-        let views: Vec<SourceChunk<'_>> = batch
+        let tasks: Vec<_> = batch
             .iter()
-            .map(|(text, first_line)| SourceChunk {
-                text,
-                first_line: *first_line,
-            })
+            .map(|(text, first_line)| move || parse_chunk(text, *first_line))
             .collect();
-        let tasks: Vec<_> = views.iter().map(|c| move || parse_chunk(c)).collect();
         for parsed in irf_runtime::par_map(tasks) {
             sink(parsed)?;
         }
@@ -220,14 +116,9 @@ fn drive<R: BufRead>(
     }
 }
 
-/// Streaming equivalent of [`crate::parse`]: reads SPICE text from
-/// `reader` and builds a [`Netlist`] without ever holding the whole
-/// source in memory.
-///
-/// The result — node-id assignment, element order,
-/// [`Netlist::content_hash`] — is bitwise identical to
-/// `crate::parse(&text)` on the same bytes, and the first error (line
-/// number included) matches too.
+/// Reads SPICE text from `reader` and builds a [`Netlist`] without
+/// ever holding the whole source in memory. Accepts exactly the cards
+/// [`crate::parse`] documents.
 ///
 /// # Errors
 ///
@@ -238,8 +129,8 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<Netlist, StreamError> {
 }
 
 /// [`parse_reader`] with explicit chunk and batch sizes — exposed so
-/// tests can force many small chunks and batches; results are
-/// identical for every `cards_per_chunk >= 1` and
+/// tests and benches can force many small chunks and batches; results
+/// are identical for every `cards_per_chunk >= 1` and
 /// `chunks_per_batch >= 1`.
 ///
 /// # Errors
@@ -250,7 +141,7 @@ pub fn parse_reader_chunked<R: BufRead>(
     cards_per_chunk: usize,
     chunks_per_batch: usize,
 ) -> Result<Netlist, StreamError> {
-    let mut span = irf_trace::span("spice_parse_stream");
+    let mut span = irf_trace::span("spice_parse");
     let mut merger = Merger::new();
     let n_chunks = drive(reader, cards_per_chunk, chunks_per_batch, |chunk| {
         merger.absorb(chunk)
@@ -318,8 +209,8 @@ pub struct StreamedCard<'a> {
 /// serial, so card order is exactly source order.
 ///
 /// Malformed cards (bad prefixes, missing fields, bad values,
-/// dangling continuations) error with the same line numbers as the
-/// batch parser. **Not** checked on this path: duplicate element
+/// dangling continuations) error with the same line numbers as
+/// [`parse_reader`]. **Not** checked on this path: duplicate element
 /// names, which require whole-file state — use [`parse_reader`] when
 /// that validation matters, or track names in the visitor.
 ///
@@ -375,7 +266,6 @@ where
 mod tests {
     use super::*;
     use crate::error::ParseErrorKind;
-    use crate::lexer::chunk_source;
     use crate::parse;
     use std::io::Cursor;
 
@@ -391,32 +281,9 @@ R3 a
 .end
 ";
 
-    fn chunker_matches_chunk_source(src: &str, cards: usize) {
-        let want: Vec<(String, usize)> = chunk_source(src, cards)
-            .iter()
-            .map(|c| (c.text.to_string(), c.first_line))
-            .collect();
-        let mut got = Vec::new();
-        let mut r = ChunkReader::with_chunk_size(Cursor::new(src), cards);
-        while let Some(c) = r.next_chunk().expect("no io errors") {
-            got.push(c);
-        }
-        assert_eq!(want, got, "src={src:?} cards={cards}");
-    }
-
-    #[test]
-    fn chunk_reader_matches_batch_chunker() {
-        for cards in [1, 2, 3, 100] {
-            chunker_matches_chunk_source(TRICKY, cards);
-            chunker_matches_chunk_source("", cards);
-            chunker_matches_chunk_source("* only comments\n* here\n", cards);
-            chunker_matches_chunk_source("R1 a b 1\nR2 c d 2", cards); // no trailing newline
-            chunker_matches_chunk_source("+ dangling\n", cards);
-        }
-    }
-
     #[test]
     fn streamed_netlist_is_bitwise_identical_to_batch() {
+        // `parse` runs the default chunk and batch sizes.
         let batch = parse(TRICKY).expect("parses");
         for (cards, per_batch) in [(1, 1), (2, 3), (1024, 32)] {
             let streamed =

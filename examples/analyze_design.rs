@@ -13,7 +13,7 @@
 //! prints the aggregated self-profile tree.
 
 use ir_fusion::{FusionConfig, IrFusionPipeline};
-use irf_data::{synthesize, SynthSpec};
+use irf_data::{synthesize_to_string, SynthSpec};
 use irf_pg::PowerGrid;
 use std::fs;
 
@@ -44,15 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         None => {
             println!("no netlist given; using a synthesized demo design");
-            let netlist = synthesize(&SynthSpec {
+            // Parse the synthesized text here, once, so the trace shows
+            // the parse stage even for the synthetic design.
+            irf_spice::parse(&synthesize_to_string(&SynthSpec {
                 seed: 7,
                 hotspot_clusters: 2,
                 hotspot_fraction: 0.5,
                 ..SynthSpec::default()
-            });
-            // Round-trip through the SPICE writer so the trace shows
-            // the parse stage even for the synthetic design.
-            irf_spice::parse(&irf_spice::write(&netlist))?
+            }))?
         }
     };
     let grid = PowerGrid::from_netlist(&netlist)?;
